@@ -27,7 +27,13 @@
 //!   serial run), so each lane records a run-length-encoded log of its
 //!   per-cycle state counts and the merge zip-sums the logs cycle-by-cycle
 //!   and replays them through
-//!   [`htm_sim::interval::IntervalTracker::from_segments`].
+//!   [`htm_sim::interval::IntervalTracker::from_segments`],
+//! * an island that finishes before the slowest one can still hold a
+//!   gating-hook timer due before the merged end cycle, which the serial
+//!   run fires (an ungate is a control transfer on the island's bank
+//!   channel). Such islands are re-run and carried on past their own
+//!   completion to the merged end cycle
+//!   ([`TccSystem::advance_past_completion`]).
 //!
 //! When the topology is the shared bus, or the workload collapses into a
 //! single island, [`run_shard_parallel`] returns `Ok(None)` and the caller
@@ -179,15 +185,21 @@ struct LaneOutput {
     gating: Option<GatingStats>,
     charges: UncoreCharges,
     log: Vec<IntervalSeg>,
+    /// The earliest gating-hook deadline still pending when the lane
+    /// stopped (`None` when every timer is idle).
+    pending_hook: Option<Cycle>,
 }
 
-/// Simulate one island to completion on the calling thread.
+/// Simulate one island to completion on the calling thread, then, when
+/// `run_to` is given, on past completion to exactly that cycle (see
+/// [`run_shard_parallel`] for why).
 fn run_lane(
     cfg: &SimConfig,
     workload: &WorkloadTrace,
     island: &[ProcId],
     mode: GatingMode,
     limit: Cycle,
+    run_to: Option<Cycle>,
 ) -> Result<LaneOutput, SimError> {
     let lane_workload = restrict_workload(workload, island);
     let hook = mode.build(cfg);
@@ -197,13 +209,44 @@ fn run_lane(
     if !sys.is_complete() {
         return Err(SimError::CycleLimitExceeded { limit });
     }
+    if let Some(end) = run_to {
+        sys.advance_past_completion(end);
+    }
     let (outcome, hook, log) = sys.into_parts_with_log();
     Ok(LaneOutput {
         gating: hook.gating_stats(),
         charges: hook.uncore_charges(),
+        pending_hook: hook.next_deadline(outcome.total_cycles),
         outcome,
         log,
     })
+}
+
+/// Run `run_lane` for every listed island on the global worker pool. Each
+/// lane writes its own slot, so the results stay in island order regardless
+/// of completion order, and errors are reported in island order.
+fn run_lanes<'a>(
+    cfg: &SimConfig,
+    workload: &WorkloadTrace,
+    islands: impl Iterator<Item = &'a [ProcId]>,
+    mode: GatingMode,
+    limit: Cycle,
+    run_to: Option<Cycle>,
+) -> Result<Vec<LaneOutput>, SimError> {
+    let islands: Vec<&[ProcId]> = islands.collect();
+    let mut results: Vec<Option<Result<LaneOutput, SimError>>> = Vec::new();
+    results.resize_with(islands.len(), || None);
+    crate::pool::WorkerPool::global().scope(|scope| {
+        for (slot, &island) in results.iter_mut().zip(&islands) {
+            scope.spawn(move || {
+                *slot = Some(run_lane(cfg, workload, island, mode, limit, run_to));
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("island lane completed"))
+        .collect()
 }
 
 /// Zip-sum the per-lane run-length-encoded interval logs into the global
@@ -378,18 +421,43 @@ pub fn run_shard_parallel(
     }
 
     // Fan the lanes out over the persistent worker pool instead of spawning
-    // a thread per island; each lane writes its own slot, so the results
-    // stay in island order regardless of completion order.
-    let mut results: Vec<Option<Result<LaneOutput, SimError>>> = Vec::new();
-    results.resize_with(islands.len(), || None);
-    crate::pool::WorkerPool::global().scope(|scope| {
-        for (slot, island) in results.iter_mut().zip(&islands) {
-            scope.spawn(move || *slot = Some(run_lane(cfg, workload, island, mode, limit)));
+    // a thread per island.
+    let mut lanes = run_lanes(
+        cfg,
+        workload,
+        islands.iter().map(Vec::as_slice),
+        mode,
+        limit,
+        None,
+    )?;
+
+    // An island that finishes early can still hold a gating-hook timer due
+    // before the last island finishes. The serial run keeps ticking it, and
+    // the ungate it fires is a control transfer on the island's own bank
+    // channel, so such islands are re-run and carried on past their own
+    // completion to the merged end cycle. Re-running (rather than keeping
+    // every lane machine alive until the merge) keeps peak memory at what
+    // the first fan-out needs; few islands are affected (one of 64 in the
+    // gated clustered 512p runs at seeds 42 and 1010).
+    let total_cycles = lanes.iter().map(|l| l.outcome.total_cycles).max();
+    let late: Vec<usize> = lanes
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.pending_hook.is_some_and(|d| Some(d) < total_cycles))
+        .map(|(k, _)| k)
+        .collect();
+    if !late.is_empty() {
+        let rerun = run_lanes(
+            cfg,
+            workload,
+            late.iter().map(|&k| islands[k].as_slice()),
+            mode,
+            limit,
+            total_cycles,
+        )?;
+        for (k, lane) in late.into_iter().zip(rerun) {
+            lanes[k] = lane;
         }
-    });
-    let mut lanes = Vec::with_capacity(results.len());
-    for result in results {
-        lanes.push(result.expect("island lane completed")?);
     }
     Ok(Some(merge_lanes(cfg, workload, &islands, lanes)))
 }
@@ -503,6 +571,65 @@ mod tests {
             );
             parallel.outcome.check_consistency().unwrap();
         }
+    }
+
+    /// A short island that finishes while one of its gating timers is still
+    /// pending. The abort reaches its victim when the victim's own commit
+    /// is already past validation, so directory 0 logs the abort and starts
+    /// a gating timer, but the victim commits instead of gating. The short
+    /// island finishes at cycle 181 with that timer due at 197; the long
+    /// island runs to 1787. The serial run fires the timer (one ungate
+    /// control transfer on bank 0, one `ungate_aborter_gone`), so the
+    /// merged outcome must as well.
+    #[test]
+    fn late_gating_timers_of_a_finished_island_still_fire() {
+        use htm_tcc::system::EngineKind;
+        let mode = GatingMode::ClockGate { w0: 8 };
+        let cfg = sharded_cfg(3);
+        let w = WorkloadTrace::new(
+            "late-timer",
+            vec![
+                ThreadTrace::new(vec![Transaction::new(
+                    1,
+                    vec![Op::Write(0), Op::Compute(11), Op::Read(0)],
+                )]),
+                ThreadTrace::new(vec![Transaction::new(2, vec![Op::Write(0), Op::Read(0)])]),
+                ThreadTrace::new(vec![Transaction::new(
+                    3,
+                    vec![Op::Write(4096), Op::Compute(1635)],
+                )]),
+            ],
+        );
+        let islands = partition_islands(&cfg, &w);
+        assert_eq!(islands, vec![vec![0, 1], vec![2]]);
+        let short = run_lane(&cfg, &w, &islands[0], mode, 1_000_000, None).unwrap();
+        let long = run_lane(&cfg, &w, &islands[1], mode, 1_000_000, None).unwrap();
+        assert!(
+            short
+                .pending_hook
+                .is_some_and(|d| d < long.outcome.total_cycles),
+            "the short island must end with a timer due before the long one ends"
+        );
+
+        let parallel = run_shard_parallel(&cfg, &w, mode, 1_000_000)
+            .unwrap()
+            .expect("two islands must parallelize");
+        let hook = mode.build(&cfg);
+        let (serial, hook) = TccSystem::new(cfg, w, hook)
+            .unwrap()
+            .run_bounded_parts(1_000_000, EngineKind::FastForward)
+            .unwrap();
+        assert_eq!(parallel.outcome.shard_bus, serial.shard_bus);
+        assert_eq!(parallel.outcome, serial);
+        assert_eq!(parallel.gating, hook.gating_stats());
+        let stats = hook
+            .gating_stats()
+            .expect("clock gating keeps controller stats");
+        assert_eq!((stats.gatings, stats.ungate_aborter_gone), (1, 1));
+        assert_eq!(serial.total_gatings, 0, "the victim itself is never gated");
+        assert!(
+            serial.shard_bus[0].control_transfers > short.outcome.shard_bus[0].control_transfers
+        );
     }
 
     #[test]

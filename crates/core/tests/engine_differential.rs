@@ -675,3 +675,145 @@ fn auto_engine_heuristic_picks_by_topology_and_islands() {
     }
     assert_eq!(EngineChoice::parse("warp"), None);
 }
+
+/// Windowed runs whose plans are mostly single-group spend most of their
+/// cycles in planner-backoff stretches (plain fast-forward stepping between
+/// plans). Hotspot is one contended island, the shape the backoff targets:
+/// at 64p and 256p, over three seeds, gated and ungated, windowed under
+/// lane pools of one and two workers must reproduce fast-forward's bytes.
+#[test]
+fn planner_backoff_is_byte_identical_to_fast_forward_on_hotspot() {
+    use clockgate_htm::pool::WorkerPool;
+    use std::sync::Arc;
+
+    for procs in [64usize, 256] {
+        for seed in [7u64, 11, 42] {
+            for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
+                let build = || {
+                    SimulationBuilder::new()
+                        .processors(procs)
+                        .topology(sharded())
+                        .workload_by_name("hotspot", WorkloadScale::Test, seed)
+                        .unwrap()
+                        .gating(mode)
+                        .cycle_limit(50_000_000)
+                };
+                let fast = build().engine(EngineKind::FastForward).run().unwrap();
+                for workers in [1usize, 2] {
+                    let (report, stats) = build()
+                        .engine(EngineKind::Windowed)
+                        .lane_pool(Arc::new(WorkerPool::new(workers)))
+                        .run_with_stats()
+                        .unwrap();
+                    assert!(stats.windowed.windows > 0, "{:?}", stats.windowed);
+                    assert_identical(
+                        &fast,
+                        &report,
+                        &format!(
+                            "hotspot {procs}p seed {seed} {} windowed \
+                             ({workers}-worker lane pool) vs fast-forward",
+                            mode.label()
+                        ),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A checkpoint taken inside a planner-backoff stretch holds the same
+/// bytes as fast-forward's at that cycle (the backoff state is runtime-only
+/// and never checkpointed), and resuming it under a different lane pool
+/// size finishes with fast-forward's outcome.
+#[test]
+fn checkpoint_inside_a_backoff_stretch_resumes_under_another_pool_size() {
+    use clockgate_htm::pool::WorkerPool;
+    use htm_sim::config::SimConfig;
+    use htm_tcc::system::TccSystem;
+    use std::sync::Arc;
+
+    let mode = GatingMode::ClockGate { w0: 8 };
+    let cfg = SimConfig::table2_with_topology(64, sharded());
+    let workload = htm_workloads::by_name("hotspot", 64, WorkloadScale::Test, 11).unwrap();
+    let new_sys = |pool: usize| {
+        let mut sys = TccSystem::new(cfg.clone(), workload.clone(), mode.build(&cfg)).unwrap();
+        sys.set_lane_pool(Arc::new(WorkerPool::new(pool)));
+        sys
+    };
+    let (fast, _) = new_sys(1)
+        .run_bounded_parts(50_000_000, EngineKind::FastForward)
+        .unwrap();
+    assert!(fast.total_cycles > 40_000, "the run must outlast the cut");
+
+    // Checkpoint at 64-cycle boundaries until one lies inside a stretch.
+    // Every window the planner runs is counted at its first due cycle, so
+    // if the count stays unchanged over the 64 busy cycles after a
+    // boundary, the machine was stepped there without planning.
+    let mut windowed = new_sys(2);
+    let mut cut = 20_000;
+    let bytes = loop {
+        windowed.advance_until_engine(cut, EngineKind::Windowed);
+        let bytes = windowed.save_checkpoint();
+        let before = windowed.windowed_stats().windows;
+        windowed.advance_until_engine(cut + 64, EngineKind::Windowed);
+        if windowed.windowed_stats().windows == before {
+            break bytes;
+        }
+        cut += 64;
+        assert!(
+            cut < 40_000,
+            "no backoff stretch found between 20k and 40k cycles"
+        );
+    };
+    let mut serial = new_sys(1);
+    serial.advance_until_engine(cut, EngineKind::FastForward);
+    assert_eq!(
+        bytes,
+        serial.save_checkpoint(),
+        "a checkpoint inside a backoff stretch must equal fast-forward's"
+    );
+
+    let mut resumed =
+        TccSystem::restore_checkpoint(cfg.clone(), workload.clone(), mode.build(&cfg), &bytes)
+            .unwrap();
+    resumed.set_lane_pool(Arc::new(WorkerPool::new(1)));
+    let (outcome, _) = resumed
+        .run_bounded_parts(50_000_000, EngineKind::Windowed)
+        .unwrap();
+    assert_eq!(outcome, fast, "resumed under a one-worker pool");
+}
+
+/// The backoff resets on the first multi-group plan, so a workload whose
+/// windows do split keeps getting planned and fanned out: a forced-windowed
+/// clustered cell (conflict-isolated clusters, so most windows split) still
+/// records multi-group and parallel windows, and matches fast-forward.
+#[test]
+fn forced_windowed_clustered_cell_still_splits_and_fans_out() {
+    use clockgate_htm::pool::WorkerPool;
+    use std::sync::Arc;
+
+    let mode = GatingMode::ClockGate { w0: 8 };
+    let (report, stats) = SimulationBuilder::new()
+        .processors(64)
+        .topology(sharded())
+        .workload_by_name("clustered", WorkloadScale::Test, 11)
+        .unwrap()
+        .gating(mode)
+        .cycle_limit(50_000_000)
+        .engine(EngineKind::Windowed)
+        .lane_pool(Arc::new(WorkerPool::new(2)))
+        .run_with_stats()
+        .unwrap();
+    assert!(
+        stats.windowed.multi_group_windows > 0,
+        "clustered windows must keep splitting: {:?}",
+        stats.windowed
+    );
+    assert!(
+        stats.windowed.parallel_windows > 0,
+        "split windows must still fan out as lanes: {:?}",
+        stats.windowed
+    );
+    let fast = run_named_on(mode, "clustered", 64, EngineKind::FastForward, sharded());
+    assert_identical(&fast, &report, "clustered 64p windowed vs fast-forward");
+}

@@ -245,6 +245,16 @@ pub struct TccSystem<H: GatingHook> {
     /// Empty until the first parallel window; runtime-only (never
     /// checkpointed).
     lane_shells: Vec<windowed::LaneShell>,
+    /// Windowed-engine planner backoff: the length of the plain
+    /// fast-forward stretch granted after the latest single-group plan
+    /// (doubling per consecutive single-group plan, capped; zero after a
+    /// multi-group plan). Runtime-only, like `wstats`: never checkpointed,
+    /// since a stretch is ordinary fast-forward stepping and where it ends
+    /// cannot change any output.
+    wbackoff: Cycle,
+    /// End of the current backoff stretch: until this cycle the windowed
+    /// engine steps with plain fast-forward instead of planning.
+    wskip_until: Cycle,
 }
 
 impl<H: GatingHook> TccSystem<H> {
@@ -333,6 +343,8 @@ impl<H: GatingHook> TccSystem<H> {
             wstats: windowed::WindowedStats::default(),
             lane_pool: None,
             lane_shells: Vec::new(),
+            wbackoff: 0,
+            wskip_until: 0,
         };
         // Populate the hook-visible snapshot once; from here on the engines
         // keep it current (the naive engine by full refresh, the fast engine
@@ -662,7 +674,26 @@ impl<H: GatingHook> TccSystem<H> {
     /// engine: each lane can be advanced window by window and inspected at
     /// the window boundaries without perturbing the simulation.
     pub fn advance_until(&mut self, target: Cycle) {
-        while self.done_count < self.procs.len() && self.now < target {
+        self.advance_fast(target, true);
+    }
+
+    /// [`Self::advance_until`] without the stop at completion: advance to
+    /// exactly `target` even when every processor is already done. A
+    /// finished machine can still hold gating-hook timers; when it is one
+    /// island of a larger machine that runs on, the serial run keeps firing
+    /// them (each ungate is a control transfer on the island's bank
+    /// channel), so the island runner calls this to run its finished lanes
+    /// out to the merged end cycle. Deliveries to finished processors are
+    /// the only other thing that still happens, and they change nothing
+    /// observable.
+    pub fn advance_past_completion(&mut self, target: Cycle) {
+        self.advance_fast(target, false);
+    }
+
+    /// The fast-forward loop behind [`Self::advance_until`] and
+    /// [`Self::advance_past_completion`].
+    fn advance_fast(&mut self, target: Cycle, stop_when_done: bool) {
+        while !(stop_when_done && self.done_count >= self.procs.len()) && self.now < target {
             match self.plan_step() {
                 StepPlan::Jump(n) => {
                     let clamped = n.min(target - self.now);

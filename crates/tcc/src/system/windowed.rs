@@ -43,6 +43,11 @@
 //!    constant baseline for the parked processors are summed cycle-wise
 //!    into the global tracker, and the clock jumps to `T_end`.
 //!
+//! A window that plans to a single group is a plain serial advance, and
+//! after each one the engine stops planning for a stretch of plain
+//! fast-forward stepping that doubles while plans stay single-group (the
+//! planner backoff, see `advance_window`).
+//!
 //! Exactness is the same argument as the fast-forward engine's
 //! jump-splitting plus one new ingredient: within a window, state is
 //! partitioned — each group's serial advance touches only its own
@@ -106,14 +111,22 @@ pub(super) const STAGE_PHASE_HOOK: u8 = 0;
 /// matching the ascending-id order of the serial per-cycle loop.
 pub(super) const STAGE_PHASE_PROC: u8 = 1;
 
+/// Longest planner-backoff stretch, in cycles. However long a run keeps
+/// planning single groups, the windowed engine still plans at least once
+/// per `PLANNER_BACKOFF_CAP` cycles, so windows that start to split again
+/// are noticed within one stretch.
+pub(super) const PLANNER_BACKOFF_CAP: Cycle = 1 << 14;
+
 /// Counters accumulated by the windowed engine, for scaling diagnostics
 /// (`timing.json` artifacts and the `pdes_scaling` bench). Deliberately not
 /// checkpointed: a resumed run counts only its own remainder, and keeping
 /// them out of the payload keeps checkpoint bytes engine-independent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowedStats {
-    /// Lookahead windows executed (quiescent fast-forward jumps between
-    /// windows are not counted).
+    /// Lookahead windows executed, i.e. windows the planner ran for.
+    /// Quiescent fast-forward jumps between windows and planner-backoff
+    /// stretches (plain fast-forward stepping after single-group plans, see
+    /// `advance_window`) are not counted.
     pub windows: u64,
     /// Windows whose planner produced two or more independent groups — the
     /// windows the island engine could not have split.
@@ -416,17 +429,33 @@ impl<H: GatingHook> TccSystem<H> {
     }
 
     /// Advance through exactly one lookahead window (clamped at `clamp`),
-    /// or through one quiescent stretch if nothing is due. Bit-for-bit
-    /// equivalent to `advance_until(min(now + lookahead, clamp))`; always
+    /// through one quiescent stretch if nothing is due, or through one
+    /// planner-backoff stretch. Bit-for-bit equivalent to
+    /// `advance_until(t)` for the cycle `t <= clamp` it stops at; always
     /// makes progress when `now < clamp`.
+    ///
+    /// **Planner backoff.** Most windows of a contended run plan to a
+    /// single group, and a single-group window is nothing but a serial
+    /// `advance_until`. So after each single-group plan the engine skips
+    /// planning for a stretch of plain fast-forward stepping, doubling the
+    /// stretch per consecutive single-group plan up to
+    /// [`PLANNER_BACKOFF_CAP`] and resetting it on the first multi-group
+    /// plan. A stretch runs the same `advance_until` primitive as a
+    /// single-group window, and switching between serial and windowed
+    /// stepping at any cycle is exact (jump splitting), so the backoff
+    /// moves only wall-clock time — never a byte of output.
     pub(super) fn advance_window(&mut self, clamp: Cycle) {
         let Some(lookahead) = self.windowed_lookahead() else {
             self.advance_until(clamp);
             return;
         };
+        if self.now < self.wskip_until {
+            self.advance_until(self.wskip_until.min(clamp));
+            return;
+        }
         // Fast-forward any quiescent prefix with the ordinary plan, so
         // windows always start on a cycle where something is due.
-        loop {
+        let (active, hook_due) = loop {
             if self.done_count >= self.procs.len() || self.now >= clamp {
                 return;
             }
@@ -436,12 +465,13 @@ impl<H: GatingHook> TccSystem<H> {
                     return;
                 }
                 StepPlan::Jump(n) => self.fast_forward(n.min(clamp - self.now)),
-                StepPlan::Cycle { .. } => break,
+                StepPlan::Cycle { active, hook_due } => break (active, hook_due),
             }
-        }
-        // The probe above may have popped due event-queue entries without
-        // processing them; every path below reseeds (groups build their own
-        // heaps, the single-group path forces a rebuild).
+        };
+        // The probe above popped the due event-queue entries of `active`
+        // without processing them: the multi-group path reseeds (groups
+        // build their own heaps, the barrier forces a rebuild), and the
+        // single-group path executes the probed cycle itself.
         let t0 = self.now;
         let t_end = (t0 + lookahead).min(clamp);
         self.wstats.windows += 1;
@@ -455,7 +485,10 @@ impl<H: GatingHook> TccSystem<H> {
             None
         };
         match plan {
-            Some(plan) if plan.groups.len() > 1 => self.advance_window_groups(plan, t0, t_end),
+            Some(plan) if plan.groups.len() > 1 => {
+                self.wbackoff = 0;
+                self.advance_window_groups(plan, t0, t_end);
+            }
             plan => {
                 if let Some(plan) = plan {
                     self.wstats.max_banks_active =
@@ -464,9 +497,12 @@ impl<H: GatingHook> TccSystem<H> {
                         self.wstats.max_groups_in_window.max(plan.groups.len());
                 }
                 self.wstats.record_window_groups(1);
-                self.fast_state_stale = true;
+                // Exactly the next iteration of `advance_until`'s own loop.
+                self.step_cycle(active, hook_due);
                 self.advance_until(t_end);
                 self.wstats.group_advances += 1;
+                self.wbackoff = (self.wbackoff * 2).max(lookahead).min(PLANNER_BACKOFF_CAP);
+                self.wskip_until = t_end + self.wbackoff;
             }
         }
     }
@@ -983,6 +1019,8 @@ impl<H: GatingHook> TccSystem<H> {
                     wstats: WindowedStats::default(),
                     lane_pool: None,
                     lane_shells: Vec::new(),
+                    wbackoff: 0,
+                    wskip_until: 0,
                 };
                 // Seed the lane's event heap and spin mask from the group,
                 // exactly like the sequential path.
